@@ -1,23 +1,26 @@
 #!/usr/bin/env python
-"""Kernel vs reference performance trajectory for the objective hot path.
+"""Performance trajectory and oracle checks for the objective hot path.
 
 A standalone script (``make bench-kernels``), not a pytest-benchmark
-target: it measures the flat-CSR kernel backend of
-:class:`repro.core.objective.CoverageState` against the ``reference``
-oracle on a Fig 5c-scale synthetic instance (EC-Fashion shape), dense and
-τ-sparsified, and writes the machine-readable trajectory to
-``BENCH_solver_kernels.json`` at the repo root:
+target: it measures the one coverage kernel of
+:class:`repro.core.objective.CoverageState` on a Fig 5c-scale synthetic
+instance (EC-Fashion shape), dense and τ-sparsified, and writes the
+machine-readable trajectory to ``BENCH_solver_kernels.json`` at the repo
+root:
 
-* ``micro`` — ops/sec for ``gain`` / ``add`` / ``all_gains`` per backend,
-  with speed-up ratios;
-* ``end_to_end`` — ``main_algorithm`` wall-clock per backend (selected via
-  ``PHOCUS_COVERAGE_BACKEND``), with speed-ups;
+* ``micro`` — ops/sec for ``gain`` / ``gains_of`` (photos per second in
+  one batch) / ``add`` / ``all_gains``;
+* ``end_to_end`` — ``main_algorithm`` wall-clock, gain evaluations and
+  picks;
 * ``parallel`` — ``solve_many`` budget-sweep throughput at 1/2/4 workers
   plus scaling efficiency (read alongside ``meta.cpus``: efficiency is
   bounded by the CPUs actually visible to the process);
-* ``checks`` — backend divergence proof: both backends must produce
-  bit-identical selections, values, and pick orders, or the script exits
-  non-zero (this is what the CI bench-smoke job enforces).
+* ``checks`` — the oracle gate: ``gain``, ``gains_of`` and ``all_gains``
+  agree bit for bit along an add order; a bulk-built state equals
+  incremental adds in any order bit for bit; ``value`` matches the
+  from-scratch ``score()`` within rel 1e-9; lazy picks equal the non-lazy
+  greedy's until the first exact key tie.  Any failure exits non-zero
+  (this is what the CI bench-smoke job enforces).
 
 The JSON is validated against the expected schema before it is written;
 a malformed document also exits non-zero.
@@ -36,15 +39,18 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.core.greedy import main_algorithm
-from repro.core.objective import CoverageState
+from repro.core.greedy import CB, UC, lazy_greedy, main_algorithm, naive_greedy
+from repro.core.objective import CoverageState, score
 from repro.core.parallel import SolveTask, solve_batch
 from repro.sparsify.threshold import threshold_sparsify
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_solver_kernels.json"
-BACKENDS = ("kernel", "reference")
 WORKER_COUNTS = (1, 2, 4)
+MICRO_OPS = ("gain", "gains_of", "add", "all_gains")
+#: Tolerance of ``value`` against the from-scratch ``score()``, which sums
+#: per subset in a different order.
+SCORE_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +68,14 @@ def _best_seconds(fn: Callable[[], None], repeats: int) -> float:
     return best
 
 
-def _bench_gain(instance, backend: str, repeats: int) -> float:
-    """ops/sec for marginal-gain queries on a partially filled state."""
-    state = CoverageState(instance, range(0, instance.n, 5), backend=backend)
-    sample = [p for p in range(instance.n) if p not in state][: max(64, instance.n // 2)]
+def _sample(instance, state) -> List[int]:
+    return [p for p in range(instance.n) if p not in state][: max(64, instance.n // 2)]
+
+
+def _bench_gain(instance, repeats: int) -> float:
+    """ops/sec for single marginal-gain queries on a partially filled state."""
+    state = CoverageState(instance, range(0, instance.n, 5))
+    sample = _sample(instance, state)
 
     def run() -> None:
         for p in sample:
@@ -74,27 +84,29 @@ def _bench_gain(instance, backend: str, repeats: int) -> float:
     return len(sample) / _best_seconds(run, repeats)
 
 
-def _bench_add(instance, backend: str, repeats: int) -> float:
+def _bench_gains_of(instance, repeats: int) -> float:
+    """Photos per second for the same queries as one batched call."""
+    state = CoverageState(instance, range(0, instance.n, 5))
+    sample = _sample(instance, state)
+    return len(sample) / _best_seconds(lambda: state.gains_of(sample), repeats)
+
+
+def _bench_add(instance, repeats: int) -> float:
     """ops/sec for state updates, built up from the empty selection."""
     picks = list(range(0, instance.n, 2))
 
     def run() -> None:
-        state = CoverageState(instance, backend=backend)
+        state = CoverageState(instance)
         for p in picks:
             state.add(p)
 
-    # State construction is part of the loop but amortised over the adds;
-    # both backends pay it, so the ratio stays honest.
+    # State construction is part of the loop but amortised over the adds.
     return len(picks) / _best_seconds(run, repeats)
 
 
-def _bench_all_gains(instance, backend: str, repeats: int) -> float:
-    state = CoverageState(instance, range(0, instance.n, 5), backend=backend)
-
-    def run() -> None:
-        state.all_gains()
-
-    return 1.0 / _best_seconds(run, repeats)
+def _bench_all_gains(instance, repeats: int) -> float:
+    state = CoverageState(instance, range(0, instance.n, 5))
+    return 1.0 / _best_seconds(state.all_gains, repeats)
 
 
 def _bench_row_access(instance, repeats: int) -> Dict[str, float]:
@@ -126,37 +138,22 @@ def _bench_row_access(instance, repeats: int) -> Dict[str, float]:
 
 
 def _bench_micro(instance, repeats: int) -> Dict[str, Dict[str, float]]:
-    out: Dict[str, Dict[str, float]] = {}
-    for op, bench in (
-        ("gain", _bench_gain),
-        ("add", _bench_add),
-        ("all_gains", _bench_all_gains),
-    ):
-        ops = {b: bench(instance, b, repeats) for b in BACKENDS}
-        out[op] = {
-            "kernel_ops_per_sec": ops["kernel"],
-            "reference_ops_per_sec": ops["reference"],
-            "speedup": ops["kernel"] / ops["reference"],
-        }
-    return out
+    benches = {
+        "gain": _bench_gain,
+        "gains_of": _bench_gains_of,
+        "add": _bench_add,
+        "all_gains": _bench_all_gains,
+    }
+    return {op: {"ops_per_sec": benches[op](instance, repeats)} for op in MICRO_OPS}
 
 
 def _bench_end_to_end(instance, repeats: int) -> Dict[str, float]:
-    seconds: Dict[str, float] = {}
-    saved = os.environ.get("PHOCUS_COVERAGE_BACKEND")
-    try:
-        for backend in BACKENDS:
-            os.environ["PHOCUS_COVERAGE_BACKEND"] = backend
-            seconds[backend] = _best_seconds(lambda: main_algorithm(instance), repeats)
-    finally:
-        if saved is None:
-            os.environ.pop("PHOCUS_COVERAGE_BACKEND", None)
-        else:
-            os.environ["PHOCUS_COVERAGE_BACKEND"] = saved
+    run = main_algorithm(instance)
     return {
-        "kernel_seconds": seconds["kernel"],
-        "reference_seconds": seconds["reference"],
-        "speedup": seconds["reference"] / seconds["kernel"],
+        "seconds": _best_seconds(lambda: main_algorithm(instance), repeats),
+        "evaluations": int(run.evaluations),
+        "picks": len(run.picks),
+        "value": float(run.value),
     }
 
 
@@ -187,50 +184,88 @@ def _bench_parallel(instance, n_tasks: int) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Divergence checks (the CI gate)
+# Oracle checks (the CI gate)
 # ---------------------------------------------------------------------------
 
 
-def _check_divergence(instance) -> Dict[str, object]:
-    """Prove kernel and reference agree bit for bit on this instance."""
+def _check_oracles(instance) -> List[str]:
+    """Check the kernel against its oracles on this instance."""
     problems: List[str] = []
+    everyone = list(range(instance.n))
 
-    # Incremental state agreement on a deterministic interleaved add order.
-    kernel = CoverageState(instance, backend="kernel")
-    reference = CoverageState(instance, backend="reference")
+    # gain == gains_of == all_gains, bitwise, at states along an
+    # interleaved add order; add() realises exactly the queried gain.
+    state = CoverageState(instance)
     order = list(range(0, instance.n, 3)) + list(range(1, instance.n, 3))
-    for p in order:
-        if kernel.gain(p) != reference.gain(p):
-            problems.append(f"gain({p}) differs between backends")
-            break
-        if kernel.add(p) != reference.add(p) or kernel.value != reference.value:
-            problems.append(f"add({p}) / value differs between backends")
-            break
-    for qi in range(len(instance.subsets)):
-        if not np.array_equal(kernel.coverage_of(qi), reference.coverage_of(qi)):
-            problems.append(f"coverage of subset {qi} differs between backends")
+    for step, p in enumerate(order):
+        if step % 8 == 0:
+            single = np.array([state.gain(q) for q in everyone])
+            if not np.array_equal(state.gains_of(everyone), single):
+                problems.append(f"gains_of != gain after {step} adds")
+                break
+            if not np.array_equal(state.all_gains(), single):
+                problems.append(f"all_gains != gain after {step} adds")
+                break
+        expected = state.gain(p)
+        if state.add(p) != expected:
+            problems.append(f"add({p}) realised a gain other than gain({p})")
             break
 
-    # End-to-end agreement of the paper's main algorithm.
-    runs = {}
-    saved = os.environ.get("PHOCUS_COVERAGE_BACKEND")
-    try:
-        for backend in BACKENDS:
-            os.environ["PHOCUS_COVERAGE_BACKEND"] = backend
-            runs[backend] = main_algorithm(instance)
-    finally:
-        if saved is None:
-            os.environ.pop("PHOCUS_COVERAGE_BACKEND", None)
-        else:
-            os.environ["PHOCUS_COVERAGE_BACKEND"] = saved
-    k, r = runs["kernel"], runs["reference"]
-    if k.selection != r.selection:
-        problems.append("main_algorithm selections differ between backends")
-    if k.value != r.value:
-        problems.append("main_algorithm values differ between backends")
-    if k.picks != r.picks:
-        problems.append("main_algorithm pick orders differ between backends")
-    return {"backend_divergence": bool(problems), "problems": problems}
+    # Bulk construction == incremental adds in any order, bitwise.
+    state = CoverageState(instance)
+    for p in order:
+        state.add(p)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        shuffled = CoverageState(instance)
+        for p in rng.permutation(order):
+            shuffled.add(int(p))
+        bulk = CoverageState(instance, order)
+        if bulk.value != state.value or shuffled.value != state.value:
+            problems.append("value depends on the add order")
+        for qi in range(len(instance.subsets)):
+            cover = state.coverage_of(qi)
+            if not (
+                np.array_equal(bulk.coverage_of(qi), cover)
+                and np.array_equal(shuffled.coverage_of(qi), cover)
+            ):
+                problems.append("coverage depends on the add order")
+                break
+
+    # value vs the from-scratch score().
+    for selection in (order[: len(order) // 3], order):
+        value = CoverageState(instance, selection).value
+        reference = score(instance, selection)
+        if abs(value - reference) > SCORE_RTOL * abs(reference):
+            problems.append(
+                f"value {value!r} differs from score() {reference!r} "
+                f"beyond rel {SCORE_RTOL}"
+            )
+
+    # Lazy picks == non-lazy greedy picks until the first exact key tie.
+    for mode in (UC, CB):
+        naive = naive_greedy(instance, mode)
+        lazy = lazy_greedy(instance, mode)
+        replay = CoverageState(instance, instance.retained)
+        spent = instance.cost_of(replay.selected)
+        cap = instance.budget * (1 + 1e-12)
+        for (p, g), (q, h) in zip(naive.picks, lazy.picks):
+            remaining = [
+                r for r in everyone
+                if r not in replay and spent + instance.costs[r] <= cap
+            ]
+            gains = replay.gains_of(remaining)
+            keys = np.sort(gains / instance.costs[remaining] if mode == CB else gains)
+            if keys.size > 1 and keys[-1] == keys[-2]:
+                break
+            if (p, g) != (q, h):
+                problems.append(
+                    f"{mode}: lazy pick {(q, h)} != naive pick {(p, g)}"
+                )
+                break
+            replay.add(p)
+            spent += float(instance.costs[p])
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +293,17 @@ def validate_document(doc: Dict[str, object]) -> None:
     need(doc, "instance", dict, "$")
     for variant in ("dense", "sparse"):
         micro = need(need(doc, "micro", dict, "$"), variant, dict, "micro")
-        for op in ("gain", "add", "all_gains"):
+        for op in MICRO_OPS:
             entry = need(micro, op, dict, f"micro.{variant}")
-            for key in ("kernel_ops_per_sec", "reference_ops_per_sec", "speedup"):
-                value = need(entry, key, (int, float), f"micro.{variant}.{op}")
-                if not value > 0:
-                    raise ValueError(f"micro.{variant}.{op}.{key} must be positive")
+            value = need(entry, "ops_per_sec", (int, float), f"micro.{variant}.{op}")
+            if not value > 0:
+                raise ValueError(f"micro.{variant}.{op}.ops_per_sec must be positive")
         e2e = need(need(doc, "end_to_end", dict, "$"), variant, dict, "end_to_end")
-        for key in ("kernel_seconds", "reference_seconds", "speedup"):
+        for key in ("seconds", "evaluations", "picks"):
             value = need(e2e, key, (int, float), f"end_to_end.{variant}")
             if not value > 0:
                 raise ValueError(f"end_to_end.{variant}.{key} must be positive")
+        need(e2e, "value", (int, float), f"end_to_end.{variant}")
     ra = need(doc, "row_access", dict, "$")
     for key in ("neighbors_ops_per_sec", "row_ops_per_sec", "speedup"):
         value = need(ra, key, (int, float), "row_access")
@@ -282,8 +317,8 @@ def validate_document(doc: Dict[str, object]) -> None:
         need(entry, "throughput_tasks_per_sec", (int, float), f"parallel.workers.{w}")
     need(par, "speedup_vs_1", dict, "parallel")
     checks = need(doc, "checks", dict, "$")
-    if not isinstance(checks.get("backend_divergence"), bool):
-        raise ValueError("checks.backend_divergence must be a bool")
+    if not isinstance(checks.get("oracles_ok"), bool):
+        raise ValueError("checks.oracles_ok must be a bool")
     if not isinstance(checks.get("neighbors_zero_copy"), bool):
         raise ValueError("checks.neighbors_zero_copy must be a bool")
 
@@ -307,13 +342,11 @@ def run(scale: float, repeats: int, parallel_tasks: int) -> Dict[str, object]:
     sparse, stats = threshold_sparsify(dense, 0.35)
     instances = {"dense": dense, "sparse": sparse}
 
-    checks: Dict[str, object] = {"backend_divergence": False, "problems": []}
+    checks: Dict[str, object] = {"oracles_ok": True, "problems": []}
     for variant, instance in instances.items():
-        result = _check_divergence(instance)
-        checks["backend_divergence"] = bool(
-            checks["backend_divergence"] or result["backend_divergence"]
-        )
-        checks["problems"] += [f"[{variant}] {p}" for p in result["problems"]]
+        problems = _check_oracles(instance)
+        checks["oracles_ok"] = bool(checks["oracles_ok"] and not problems)
+        checks["problems"] += [f"[{variant}] {p}" for p in problems]
 
     # Zero-copy regression assertion: neighbors() must return views into
     # the live CSR arrays, never per-call copies (let alone dense rows).
@@ -390,12 +423,12 @@ def main(argv=None) -> int:
           f"subsets={doc['instance']['n_subsets']} cpus={doc['meta']['cpus']}")
     for variant in ("dense", "sparse"):
         ops = ", ".join(
-            f"{op} {micro[variant][op]['speedup']:.2f}x" for op in ("gain", "add", "all_gains")
+            f"{op} {micro[variant][op]['ops_per_sec']:.0f}/s" for op in MICRO_OPS
         )
         print(f"  {variant:>6}: micro [{ops}] | "
-              f"main_algorithm {e2e[variant]['speedup']:.2f}x "
-              f"({e2e[variant]['reference_seconds']:.3f}s -> "
-              f"{e2e[variant]['kernel_seconds']:.3f}s)")
+              f"main_algorithm {e2e[variant]['seconds']:.3f}s, "
+              f"{e2e[variant]['evaluations']} evaluations, "
+              f"{e2e[variant]['picks']} picks")
     ra = doc["row_access"]
     print(f"  sparse row access: neighbors() {ra['speedup']:.1f}x faster than row() "
           f"(zero-copy: {doc['checks']['neighbors_zero_copy']})")
@@ -403,7 +436,7 @@ def main(argv=None) -> int:
     print(f"  parallel: {par['tasks']} tasks, speedup vs 1 worker: {sp}")
     print(f"  wrote {args.out}")
 
-    if doc["checks"]["backend_divergence"] or doc["checks"]["problems"]:
+    if not doc["checks"]["oracles_ok"] or doc["checks"]["problems"]:
         print("BENCH CHECKS FAILED:", file=sys.stderr)
         for problem in doc["checks"]["problems"]:
             print(f"  - {problem}", file=sys.stderr)

@@ -66,29 +66,29 @@ def online_bound(
         state = CoverageState(instance, selection)
     costs = instance.costs
     gains = state.all_gains()
-    keep = np.nonzero(
-        (gains > 0) & (costs <= instance.budget * (1 + 1e-12))
-    )[0]
-    kept_gains = gains[keep]
-    kept_costs = costs[keep]
-    # Descending (density, gain, cost) — the same ordering the former
-    # sorted tuple list produced, without materialising Python tuples.
-    order = np.lexsort(
-        (-kept_costs, -kept_gains, -(kept_gains / kept_costs))
-    )
-    bound = state.value
-    budget = instance.budget
-    for i in order:
-        if budget <= 0:
-            break
-        gain = float(kept_gains[i])
-        cost = float(kept_costs[i])
-        if cost <= budget:
-            bound += gain
-            budget -= cost
-        else:
-            bound += gain * (budget / cost)
-            budget = 0.0
+    keep = (gains > 0) & (costs <= instance.budget * (1 + 1e-12))
+    return _fractional_packing(state.value, gains[keep], costs[keep], instance.budget)
+
+
+def _fractional_packing(
+    value: float, gains: np.ndarray, costs: np.ndarray, budget: float
+) -> float:
+    """``value`` plus the greedy fractional-knapsack packing of ``gains``.
+
+    Items enter by descending (density, gain, cost) until ``budget`` runs
+    out; the first one that does not fit enters fractionally.  The running
+    sums are sequential (``accumulate``), so the result is bit for bit the
+    one-item-at-a-time loop.
+    """
+    order = np.lexsort((-costs, -gains, -(gains / costs)))
+    gains, costs = gains[order], costs[order]
+    bounds = np.add.accumulate(np.concatenate(([value], gains)))
+    budgets = np.add.accumulate(np.concatenate(([budget], -costs)))
+    whole = (budgets[:-1] > 0) & (costs <= budgets[:-1])
+    stop = whole.size if whole.all() else int(np.argmin(whole))
+    bound = float(bounds[stop])
+    if stop < whole.size and budgets[stop] > 0:
+        bound += float(gains[stop]) * (float(budgets[stop]) / float(costs[stop]))
     return bound
 
 

@@ -23,6 +23,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.core.bounds import _fractional_packing
 from repro.core.instance import PARInstance
 from repro.core.objective import CoverageState, score
 
@@ -83,25 +84,13 @@ def _fractional_upper_bound(
     itself bounded by greedily packing gains by density into the remaining
     budget (allowing a fractional final item).
     """
-    gains = []
-    for p in candidates:
-        if costs[p] <= remaining_budget + 1e-12:
-            g = state.gain(p)
-            if g > 0:
-                gains.append((g / costs[p], g, float(costs[p])))
-    gains.sort(reverse=True)
-    bound = state.value
-    budget = remaining_budget
-    for _, g, c in gains:
-        if budget <= 0:
-            break
-        if c <= budget:
-            bound += g
-            budget -= c
-        else:
-            bound += g * (budget / c)
-            budget = 0.0
-    return bound
+    cand = np.asarray(candidates, dtype=np.int64)
+    gains = state.gains_of(cand)
+    cand_costs = costs[cand]
+    keep = (cand_costs <= remaining_budget + 1e-12) & (gains > 0)
+    return _fractional_packing(
+        state.value, gains[keep], cand_costs[keep], remaining_budget
+    )
 
 
 def branch_and_bound(

@@ -5,10 +5,11 @@ lazy-forward scheme of Leskovec et al. [30]:
 
 * :func:`lazy_greedy` — Algorithm 2.  Runs one greedy pass in either the
   unit-cost (``UC``) or cost-benefit (``CB``) mode, using lazy marginal-gain
-  re-evaluation backed by a priority queue.  Submodularity guarantees that a
-  cached gain is an upper bound on the true gain, so a candidate whose
-  refreshed gain stays at the top of the queue can be selected without
-  recomputing anybody else.
+  re-evaluation backed by a priority queue (:class:`CelfQueue`).
+  Submodularity guarantees that a cached gain is an upper bound on the
+  true gain, so a candidate whose refreshed gain stays at the top of the
+  queue can be selected without recomputing anybody else.  Runs of stale
+  tops are refreshed in doubling batches through one kernel call.
 * :func:`main_algorithm` — Algorithm 1.  Runs both modes and returns the
   better solution, which carries the ``(1 − 1/e)/2`` worst-case guarantee.
 * :func:`naive_greedy` — the same greedy rule *without* lazy evaluation,
@@ -22,10 +23,11 @@ Crash safety: :func:`lazy_greedy` and :func:`main_algorithm` can emit
 *checkpoints* — JSON-safe snapshots of their resumable state (selection
 order, residual budget, the CELF heap of stale upper bounds, UC/CB phase
 progress) — every ``checkpoint_every`` picks, and can be restarted from
-such a snapshot via ``resume_from``.  A resumed run replays the recorded
-insertion order through a fresh :class:`CoverageState` (bit-identical
-float accumulation) and continues with the restored heap, so it provably
-reaches the same selection as an uninterrupted run.  The wire encoding
+such a snapshot via ``resume_from``.  A resumed run rebuilds the
+:class:`CoverageState` from the recorded selection (its coverage and value
+are functions of the set, so they come back bit for bit) and continues
+with the restored heap and refresh batch size, so it provably reaches the
+same selection as an uninterrupted run.  The wire encoding
 (CRC32-protected records) lives in :mod:`repro.core.checkpoint`; this
 module deals only in plain dicts.
 """
@@ -37,6 +39,8 @@ import math
 from dataclasses import dataclass, field
 from time import perf_counter as _perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.instance import PARInstance
 from repro.core.objective import CoverageState
@@ -169,16 +173,14 @@ def lazy_greedy(
     _t0 = _perf_counter() if _obs is not None else 0.0
 
     costs = instance.costs
-    budget = instance.budget
+    budget_cap = instance.budget * (1 + 1e-12)
 
     if resume_from is not None:
         if state is not None:
             raise ConfigurationError("resume_from and state are mutually exclusive")
         if trace:
             raise ConfigurationError("cannot resume a traced run (trace is partial)")
-        state, run, heap, counter, spent = _restore_greedy(
-            instance, mode, resume_from
-        )
+        state, run, queue, spent = _restore_greedy(instance, mode, resume_from)
     else:
         if state is None:
             state = CoverageState(instance, instance.retained)
@@ -190,89 +192,61 @@ def lazy_greedy(
             mode=mode,
             evaluations=0,
         )
-        # Priority queue of (-key, tiebreak, photo_id, stamp).  ``stamp`` is
-        # the selection size at which the cached gain was computed; an entry
-        # is "current" (the paper's curr_p flag) iff its stamp equals the
-        # present selection size.
-        counter = 0
-        heap: List[Tuple[float, int, int, int]] = []
-        stamp = state.size
-        for p in range(instance.n):
-            if p in state:
-                continue
-            if spent + costs[p] > budget * (1 + 1e-12):
-                continue
-            gain = state.gain(p)
-            run.evaluations += 1
-            key = gain / costs[p] if mode == CB else gain
-            heapq.heappush(heap, (-key, counter, p, stamp))
-            counter += 1
+        # Seed: one batched evaluation over every affordable candidate.
+        free = np.ones(instance.n, dtype=bool)
+        free[np.fromiter(state._selected, dtype=np.int64, count=state.size)] = False
+        cand = np.flatnonzero(free & (spent + costs <= budget_cap))
+        gains = state.gains_of(cand)
+        run.evaluations = int(cand.size)
+        queue = CelfQueue()
+        queue.extend(cand, gains / costs[cand] if mode == CB else gains, state.size)
 
     if _obs is not None:
         # Work already credited to a previous (checkpointed) attempt, and
         # the seeding evaluations (one per heap entry on a fresh pass).
         _evals_prior = run.evaluations if resume_from is not None else 0
         _picks_prior = len(run.picks)
-        _seeded = 0 if resume_from is not None else len(heap)
-        _obs.solver_heap_size.labels(mode=mode).set(len(heap))
+        _seeded = 0 if resume_from is not None else len(queue.heap)
+        _obs.solver_heap_size.labels(mode=mode).set(len(queue.heap))
 
-    # Hot-loop locals: the selection set is read directly (no frozenset
-    # copies) and its size tracked inline — state.add is the only writer.
     selected = state._selected
-    size = state.size
-    budget_cap = budget * (1 + 1e-12)
-    # Deadline: fetched once per pass; per-iteration cost without one is a
-    # single ``is not None`` test (the faults probe pattern).  With one
-    # armed, the clock is read on the first iteration and every 16th after
-    # (a drain interrupt on this deadline is seen immediately).
-    _dl = _deadline.current()
-    _dl_tick = 0
-    while heap:
-        _fault_check("solver.iteration")
-        if _dl is not None:
-            if (_dl_tick & 15) == 0 or _dl._interrupt is not None:
-                if _dl.expired():
-                    raise _dl.to_exception(
-                        _greedy_checkpoint_doc(run, state, heap, counter, spent)
-                    )
-            _dl_tick += 1
-        neg_key, _, p, gain_stamp = heapq.heappop(heap)
-        if p in selected:
-            continue
-        if spent + costs[p] > budget_cap:
-            # Cannot afford p now; it can never become affordable again, so
-            # drop it permanently.
-            if trace:
-                run.trace.append(
-                    TraceEvent("drop", len(run.picks) + 1, p, -neg_key)
-                )
-            continue
-        if gain_stamp == size:
-            realized = state.add(p)
-            size += 1
-            run.selection.append(p)
-            run.picks.append((p, realized))
-            spent += float(costs[p])
-            run.value = state.value
-            run.cost = spent
-            if trace:
-                run.trace.append(TraceEvent("select", len(run.picks), p, realized))
-            if checkpoint_every and len(run.picks) % checkpoint_every == 0:
-                checkpoint_sink(_greedy_checkpoint_doc(run, state, heap, counter, spent))
-        else:
-            gain = state.gain(p)
-            run.evaluations += 1
-            key = gain / costs[p] if mode == CB else gain
-            heapq.heappush(heap, (-key, counter, p, size))
-            counter += 1
-            if trace:
-                run.trace.append(
-                    TraceEvent("refresh", len(run.picks) + 1, p, gain)
-                )
+
+    def price(p: int) -> Optional[float]:
+        return None if p in selected else float(costs[p])
+
+    def refresh(photos: List[int]) -> List[float]:
+        run.evaluations += len(photos)
+        if len(photos) == 1:
+            return [state.gain(photos[0])]
+        return state.gains_of(photos).tolist()
+
+    def accept(p: int, cost: float, spent_now: float) -> None:
+        realized = state.add(p)
+        run.selection.append(p)
+        run.picks.append((p, realized))
+        run.cost = spent_now
+        if trace:
+            run.trace.append(TraceEvent("select", len(run.picks), p, realized))
+        if checkpoint_every and len(run.picks) % checkpoint_every == 0:
+            checkpoint_sink(_greedy_checkpoint_doc(run, state, queue, spent_now))
+
+    def on_event(kind: str, p: int, value: float) -> None:
+        run.trace.append(TraceEvent(kind, len(run.picks) + 1, p, value))
+
+    spent = queue.drain(
+        state.size, spent, budget_cap, mode,
+        price=price, refresh=refresh, accept=accept,
+        on_event=on_event if trace else None,
+        snapshot=lambda spent_now: _greedy_checkpoint_doc(
+            run, state, queue, spent_now
+        ),
+    )
+    run.cost = spent
+    run.value = state.value
 
     if _obs is not None:
         _record_run_metrics(
-            _obs, run, state, mode,
+            _obs, run, mode,
             elapsed=_perf_counter() - _t0,
             evals_prior=_evals_prior,
             picks_prior=_picks_prior,
@@ -281,8 +255,141 @@ def lazy_greedy(
     return run
 
 
+class CelfQueue:
+    """The CELF priority queue of Algorithm 2, refreshed in batches.
+
+    Entries are ``(-key, counter, item, stamp)``.  ``stamp`` is the
+    selection size at which the cached key was computed: an entry is
+    *current* (the paper's ``curr_p`` flag) iff its stamp equals the
+    present selection size, and ``counter`` breaks key ties in insertion
+    order.  Items are photo ids for :func:`lazy_greedy` and variant ids
+    for :func:`repro.fidelity.solver.exclusive_lazy_greedy`; both passes
+    share :meth:`drain`.
+
+    Batched refresh: a stale top is refreshed alone, exactly as CELF
+    does; if the next top is stale too, the next refresh takes the two
+    stale tops, then four, and so on, all evaluated in one kernel call at
+    the same selection.  ``batch`` resets to 1 at every pick.  Nothing is
+    added between a batch's evaluations, so a pick is still the argmax of
+    current gains over the heap's upper bounds — the selections are
+    CELF's up to exact ties; only the evaluation counts grow.
+    """
+
+    __slots__ = ("heap", "counter", "batch")
+
+    def __init__(
+        self,
+        heap: Optional[List[Tuple[float, int, int, int]]] = None,
+        counter: int = 0,
+        batch: int = 1,
+    ) -> None:
+        self.heap = heap if heap is not None else []
+        self.counter = counter
+        self.batch = batch
+
+    def extend(self, items: np.ndarray, keys: np.ndarray, stamps) -> None:
+        """Push ``items`` with their ``keys`` (one ``heapify``).
+
+        ``stamps`` is one stamp for all items or an array of them; the
+        counters follow the order of ``items``.
+        """
+        n = int(items.size)
+        stamps = np.broadcast_to(np.asarray(stamps, dtype=np.int64), (n,))
+        self.heap.extend(
+            zip(
+                (-np.asarray(keys, dtype=np.float64)).tolist(),
+                range(self.counter, self.counter + n),
+                items.tolist(),
+                stamps.tolist(),
+            )
+        )
+        self.counter += n
+        heapq.heapify(self.heap)
+
+    def drain(
+        self,
+        size: int,
+        spent: float,
+        budget_cap: float,
+        mode: GreedyMode,
+        *,
+        price: Callable[[int], Optional[float]],
+        refresh: Callable[[List[int]], Any],
+        accept: Callable[[int, float, float], None],
+        on_event: Optional[Callable[[str, int, float], None]] = None,
+        snapshot: Optional[Callable[[float], Dict[str, Any]]] = None,
+    ) -> float:
+        """Run the lazy-greedy loop until the heap empties; return ``spent``.
+
+        ``price(item)`` is the budget an item would consume now, or
+        ``None`` to skip it (already chosen or dominated).  An item that
+        does not fit is dropped for good: ``spent`` only grows.
+        ``refresh(items)`` returns their exact gains at the current
+        selection as a list of floats; ``accept(item, price, spent)`` adds
+        the item (the selection grows by one).  The key is ``gain / price``
+        in CB mode and ``gain`` in UC mode.  ``on_event(kind, item, value)`` sees
+        every ``"drop"`` (with its cached key) and ``"refresh"`` (with the
+        new gain).  On an expired deadline the drain raises with
+        ``snapshot(spent)`` as the resumable checkpoint.
+        """
+        heap = self.heap
+        cb = mode == CB
+        pop, push = heapq.heappop, heapq.heappush
+        # Deadline: fetched once per pass; per-iteration cost without one
+        # is a single ``is not None`` test (the faults probe pattern).
+        # With one armed, the clock is read on the first iteration and
+        # every 16th after (a drain interrupt is seen immediately).
+        dl = _deadline.current()
+        dl_tick = 0
+        while heap:
+            _fault_check("solver.iteration")
+            if dl is not None:
+                if (dl_tick & 15) == 0 or dl._interrupt is not None:
+                    if dl.expired():
+                        raise dl.to_exception(
+                            snapshot(spent) if snapshot is not None else None
+                        )
+                dl_tick += 1
+            neg_key, _, item, stamp = pop(heap)
+            cost = price(item)
+            if cost is None:
+                continue
+            if spent + cost > budget_cap:
+                if on_event is not None:
+                    on_event("drop", item, -neg_key)
+                continue
+            if stamp == size:
+                size += 1
+                spent += cost
+                self.batch = 1
+                accept(item, cost, spent)
+                continue
+            items, costs = [item], [cost]
+            batch = self.batch
+            while len(items) < batch and heap and heap[0][3] != size:
+                neg_key, _, item, _ = pop(heap)
+                cost = price(item)
+                if cost is None:
+                    continue
+                if spent + cost > budget_cap:
+                    if on_event is not None:
+                        on_event("drop", item, -neg_key)
+                    continue
+                items.append(item)
+                costs.append(cost)
+            counter = self.counter
+            for item, cost, gain in zip(items, costs, refresh(items)):
+                push(heap, (-(gain / cost) if cb else -gain, counter, item, size))
+                counter += 1
+                if on_event is not None:
+                    on_event("refresh", item, gain)
+            self.counter = counter
+            self.batch = batch * 2
+        return spent
+
+
 def _record_run_metrics(
-    obs, run: GreedyRun, state: CoverageState, mode: str, *,
+    obs, run: GreedyRun, mode: str, *,
     elapsed: float, evals_prior: int, picks_prior: int, seeded: int,
 ) -> None:
     """Flush one finished pass into the armed instruments.
@@ -298,7 +405,7 @@ def _record_run_metrics(
     evals_done = run.evaluations - evals_prior
     refreshes = max(0, evals_done - seeded)
     pops = refreshes + picks_done
-    obs.solver_runs.labels(mode=mode, backend=state.backend).inc()
+    obs.solver_runs.labels(mode=mode).inc()
     if evals_done:
         obs.solver_evaluations.labels(mode=mode).inc(evals_done)
     if picks_done:
@@ -315,8 +422,7 @@ def _record_run_metrics(
 def _greedy_checkpoint_doc(
     run: GreedyRun,
     state: CoverageState,
-    heap: List[Tuple[float, int, int, int]],
-    counter: int,
+    queue: "CelfQueue",
     spent: float,
 ) -> Dict[str, Any]:
     """Snapshot everything :func:`lazy_greedy` needs to continue (JSON-safe)."""
@@ -331,8 +437,9 @@ def _greedy_checkpoint_doc(
         "evaluations": int(run.evaluations),
         "spent": float(spent),
         "value": float(state.value),
-        "heap": [[float(k), int(c), int(p), int(s)] for k, c, p, s in heap],
-        "counter": int(counter),
+        "heap": [[float(k), int(c), int(p), int(s)] for k, c, p, s in queue.heap],
+        "counter": int(queue.counter),
+        "batch": int(queue.batch),
         "progress": {"mode": run.mode, "picks": len(run.picks)},
     }
 
@@ -342,11 +449,12 @@ def _restore_greedy(
 ):
     """Rebuild the loop state of :func:`lazy_greedy` from a checkpoint doc.
 
-    The coverage state is reconstructed by replaying the recorded add
-    order, which reproduces the incremental float accumulation exactly;
-    a value mismatch therefore means the checkpoint belongs to a
-    different instance (or was tampered with) and raises
-    :class:`~repro.errors.CheckpointError`.
+    The coverage state is rebuilt in bulk from the recorded add order;
+    its value is a function of the selected set, so it reproduces the
+    checkpointed value exactly, and a mismatch means the checkpoint
+    belongs to a different instance (or was tampered with) and raises
+    :class:`~repro.errors.CheckpointError`.  Checkpoints written before
+    refreshes were batched carry no ``batch`` key and resume at 1.
     """
     try:
         if doc.get("kind") != "lazy_greedy" or doc.get("format") != _CKPT_FORMAT:
@@ -379,13 +487,16 @@ def _restore_greedy(
             resumed_at=len(doc["picks"]),
         )
         heap = [(float(k), int(c), int(p), int(s)) for k, c, p, s in doc["heap"]]
-        counter = int(doc["counter"])
+        batch = int(doc.get("batch", 1))
+        if batch < 1:
+            raise CheckpointError(f"checkpoint batch size {batch} is not >= 1")
+        queue = CelfQueue(heap, int(doc["counter"]), batch)
         spent = float(doc["spent"])
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint document: {exc!r}") from exc
-    return state, run, heap, counter, spent
+    return state, run, queue, spent
 
 
 def naive_greedy(
@@ -405,7 +516,6 @@ def naive_greedy(
     state = CoverageState(instance, instance.retained)
     costs = instance.costs
     spent = instance.cost_of(state.selected)
-    budget = instance.budget
     run = GreedyRun(
         selection=list(state.selected),
         value=state.value,
@@ -413,34 +523,30 @@ def naive_greedy(
         mode=mode,
         evaluations=0,
     )
-    remaining = [p for p in range(instance.n) if p not in state.selected]
-
+    remaining = np.array(
+        [p for p in range(instance.n) if p not in state], dtype=np.int64
+    )
+    budget_cap = instance.budget * (1 + 1e-12)
     while True:
         # Spent only ever grows, so a candidate that cannot fit the residual
         # budget now never fits later: drop it permanently instead of
         # re-checking (and re-considering) it every iteration.
-        remaining = [p for p in remaining if spent + costs[p] <= budget * (1 + 1e-12)]
-        best_p = -1
-        best_key = -1.0
-        best_gain = 0.0
-        for p in remaining:
-            gain = state.gain(p)
-            run.evaluations += 1
-            key = gain / costs[p] if mode == CB else gain
-            if key > best_key:
-                best_key = key
-                best_p = p
-                best_gain = gain
-        if best_p < 0:
+        remaining = remaining[spent + costs[remaining] <= budget_cap]
+        if not remaining.size:
             break
+        gains = state.gains_of(remaining)
+        run.evaluations += int(remaining.size)
+        # argmax takes the first maximum: ties go to the lowest photo id.
+        best = int(np.argmax(gains / costs[remaining] if mode == CB else gains))
+        best_p = int(remaining[best])
         state.add(best_p)
-        remaining.remove(best_p)
+        remaining = np.delete(remaining, best)
         run.selection.append(best_p)
-        run.picks.append((best_p, best_gain))
+        run.picks.append((best_p, float(gains[best])))
         spent += float(costs[best_p])
-        run.value = state.value
         run.cost = spent
 
+    run.value = state.value
     return run
 
 

@@ -450,16 +450,18 @@ class SparseSimilarity:
         )
         # --- assemble ----------------------------------------------------
         old_nnz = self._cols.size
-        old_lens = np.diff(self._indptr)
         nnz = old_nnz + add_r.size + new_r.size
         out_cols = np.empty(nnz, dtype=np.int64)
         out_vals = np.empty(nnz, dtype=dt)
-        # Old entries of row i shift right by the additions to rows < i.
-        dest_old = np.arange(old_nnz, dtype=np.int64) + np.repeat(
-            add_prefix[:n], old_lens
-        )
-        out_cols[dest_old] = self._cols
-        out_vals[dest_old] = self._vals
+        # Old entries of row i shift right by the additions to rows < i:
+        # the rows between two rows with additions move as one block, so
+        # one slice copy per block replaces an O(nnz) scatter.
+        touched = np.flatnonzero(add_counts)
+        starts = self._indptr[np.concatenate(([0], touched + 1))].tolist()
+        shifts = [0] + add_prefix[touched + 1].tolist()
+        for s, e, h in zip(starts, starts[1:] + [old_nnz], shifts):
+            out_cols[s + h : e + h] = self._cols[s:e]
+            out_vals[s + h : e + h] = self._vals[s:e]
         # The t-th sorted addition (row r) lands right after row r's old
         # entries plus the additions to earlier rows already placed before
         # it: old_indptr[r + 1] + t.
@@ -558,9 +560,10 @@ class IncidenceCSR:
     grouped first by photo (``entry_indptr``), then by membership inside
     the photo in ascending subset order (``photo_member_indptr`` into
     ``member_entry_indptr``).  Membership order and per-row entry order
-    match ``PARInstance.membership`` / ``similarity.neighbors`` exactly,
-    which is what lets :class:`repro.core.objective.CoverageState`'s kernel
-    backend reproduce the reference float accumulation bit for bit.
+    match ``PARInstance.membership`` / ``similarity.neighbors`` exactly, so
+    the layout — and with it every sum
+    :class:`repro.core.objective.CoverageState` reduces over it — is a
+    function of the subsets alone.
     """
 
     __slots__ = (
@@ -733,7 +736,10 @@ class PredefinedSubset:
         member_arr = np.asarray(members, dtype=np.int64)
         if member_arr.ndim != 1 or member_arr.size == 0:
             raise ValidationError(f"subset {subset_id!r}: members must be non-empty")
-        if np.unique(member_arr).size != member_arr.size:
+        # Sorted members (the common case) skip the O(m log m) check.
+        if np.any(member_arr[1:] <= member_arr[:-1]) and (
+            np.unique(member_arr).size != member_arr.size
+        ):
             raise ValidationError(f"subset {subset_id!r}: duplicate member")
         if normalize:
             rel = normalize_relevance(relevance)
@@ -761,18 +767,24 @@ class PredefinedSubset:
         self.members = member_arr
         self.relevance = rel
         self.similarity = similarity
-        self._local: Dict[int, int] = {int(p): i for i, p in enumerate(member_arr)}
+        self._local: Optional[Dict[int, int]] = None
+
+    def _local_map(self) -> Dict[int, int]:
+        """photo id → local position, built on first use."""
+        if self._local is None:
+            self._local = dict(zip(self.members.tolist(), range(self.members.size)))
+        return self._local
 
     def __len__(self) -> int:
         return self.members.size
 
     def __contains__(self, photo_id: int) -> bool:
-        return int(photo_id) in self._local
+        return int(photo_id) in self._local_map()
 
     def local_index(self, photo_id: int) -> int:
         """Local position of ``photo_id`` inside this subset."""
         try:
-            return self._local[int(photo_id)]
+            return self._local_map()[int(photo_id)]
         except KeyError:
             raise ValidationError(
                 f"photo {photo_id} is not a member of subset {self.subset_id!r}"
@@ -780,8 +792,9 @@ class PredefinedSubset:
 
     def sim(self, p1: int, p2: int) -> float:
         """``SIM(q, p1, p2)`` by *photo id* (0 if either is not a member)."""
-        i = self._local.get(int(p1))
-        j = self._local.get(int(p2))
+        local = self._local_map()
+        i = local.get(int(p1))
+        j = local.get(int(p2))
         if i is None or j is None:
             return 0.0
         return self.similarity.pair(i, j)
@@ -816,9 +829,10 @@ class SubsetSpec:
 class PARInstance:
     """A fully validated Photo Archive Reduction instance.
 
-    Provides the inputs of Section 3.1 plus the derived *membership index*
-    (for each photo, the subsets containing it and its local index there),
-    which every solver uses to evaluate marginal gains efficiently.
+    Provides the inputs of Section 3.1 plus the derived flat incidence CSR
+    (:class:`IncidenceCSR`) every solver evaluates marginal gains on, and a
+    *membership index* (for each photo, the subsets containing it and its
+    local index there), built on first use.
     """
 
     def __init__(
@@ -889,11 +903,7 @@ class PARInstance:
                 )
         self.variants = variants
 
-        # Membership index: photo id -> [(subset index, local index), ...].
-        self.membership: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
-        for qi, q in enumerate(self.subsets):
-            for local, photo_id in enumerate(q.members):
-                self.membership[int(photo_id)].append((qi, local))
+        self._membership: Optional[List[List[Tuple[int, int]]]] = None
 
         # Flat incidence CSR: the hot-path layout every gain/add/all_gains
         # kernel runs on.  ``incidence`` is an internal fast path for
@@ -906,6 +916,17 @@ class PARInstance:
     # ------------------------------------------------------------------
     # Convenience accessors
     # ------------------------------------------------------------------
+
+    @property
+    def membership(self) -> List[List[Tuple[int, int]]]:
+        """Photo id → ``[(subset index, local index), ...]``, built on first use."""
+        if self._membership is None:
+            membership: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
+            for qi, q in enumerate(self.subsets):
+                for local, photo_id in enumerate(q.members.tolist()):
+                    membership[photo_id].append((qi, local))
+            self._membership = membership
+        return self._membership
 
     def cost_of(self, selection: Iterable[int]) -> float:
         """Total byte cost ``C(S)`` of a selection of photo ids."""

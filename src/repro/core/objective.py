@@ -7,32 +7,32 @@ The score of a solution ``S`` (Section 3.1) is
 where ``NN(q, p, S)`` is the most similar photo to ``p`` among ``S ∩ q``.
 Because SIM is 0 across subset boundaries and 1 on the diagonal, the inner
 sum only needs, for every member ``p`` of ``q``, the *best similarity seen so
-far* to any selected member.  :class:`CoverageState` maintains exactly that
-array per subset, which makes
+far* to any selected member.  :class:`CoverageState` keeps exactly that, one
+value per (subset, member) *slot*, laid out flat over the incidence CSR of
+:class:`~repro.core.instance.IncidenceCSR`.
 
-* a marginal-gain query ``gain(p)`` cost ``O(Σ_{q ∋ p} |q|)`` (dense) or the
-  size of ``p``'s neighbour lists (sparse), and
-* an update ``add(p)`` the same.
+There is one kernel.  The marginal gain of a photo ``p`` is
 
-Two interchangeable evaluation backends are provided:
+    np.add.reduceat(max(sims − best[slots], 0) · wrel)
 
-* ``backend="kernel"`` (default) — runs on the flat incidence CSR
-  precomputed by :class:`~repro.core.instance.PARInstance`
-  (:class:`~repro.core.instance.IncidenceCSR`): per-photo contiguous slices
-  of (slot, similarity, weighted relevance), so ``gain``/``add`` are a
-  handful of vectorised slice ops per membership and ``all_gains`` is one
-  pass of ``np.maximum`` + ``np.add.reduceat`` over the whole entry array,
-  with no per-member Python loop and no sparse special-casing;
-* ``backend="reference"`` — the original per-subset ``neighbors()`` loop,
-  kept as the correctness oracle.
+over ``p``'s whole entry range, and every evaluation path runs exactly that
+arithmetic: :meth:`CoverageState.gain` (one photo),
+:meth:`CoverageState.gains_of` (a batch: one gather + one ``reduceat``, or
+per photo below :data:`_SMALL_BATCH`) and
+:meth:`CoverageState.all_gains` (every photo, in contiguous chunks).  A
+segment's sum does not depend on where it sits in the reduced array, so the
+three agree bit for bit — which lets the CELF loop of
+:mod:`repro.core.greedy` refresh stale heap tops in batches and still see
+the very same floats as a one-at-a-time refresh.
 
-Both backends accumulate floats in the *same order* (per membership, in
-ascending subset order, with identical masked dot products), so a kernel
-state and a reference state fed the same add order agree bit for bit on
-``value`` and the coverage vectors — which is what keeps the checkpoint
-resume proofs of :mod:`repro.core.checkpoint` valid on either backend.
-The default backend can be forced globally with the
-``PHOCUS_COVERAGE_BACKEND`` environment variable.
+``value`` is a pure function of the selected *set*:
+``np.add.reduce(wslot · best)``, cached and invalidated by :meth:`add`.
+``best`` is a running maximum, which is exact and order-free, so a state
+built in bulk (one ``np.maximum.at`` gather over the initial selection), a
+state built by incremental adds in any order, and a checkpoint-resumed
+state all report the same bits.  Photos can be inserted at a fidelity
+``φ ≤ 1`` (their similarities scaled by ``φ``); the multi-fidelity solver
+of :mod:`repro.fidelity` uses that through the same kernel.
 
 All solvers in :mod:`repro.core` are built on this structure.  The module
 also exposes :func:`score`, a from-scratch evaluator used by tests to verify
@@ -41,31 +41,27 @@ the incremental state, and :func:`score_breakdown` for per-subset reporting.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.instance import PARInstance
-from repro.errors import ConfigurationError
 from repro.obs import probes as _obs_probes
 
 __all__ = [
     "CoverageState",
-    "KERNEL",
-    "REFERENCE",
     "score",
     "score_breakdown",
     "max_score",
 ]
 
-KERNEL = "kernel"
-REFERENCE = "reference"
-_BACKENDS = (KERNEL, REFERENCE)
-
-
-def _default_backend() -> str:
-    return os.environ.get("PHOCUS_COVERAGE_BACKEND", KERNEL)
+#: ``reduceat`` index of a single segment spanning the whole array.
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
+#: Entries gathered per batch chunk — bounds the kernel's temporaries
+#: (a handful of float64/int64 arrays of this length) on large batches.
+_CHUNK_ENTRIES = 1 << 16
+#: Batches up to this size are evaluated one photo at a time.
+_SMALL_BATCH = 4
 
 
 class CoverageState:
@@ -73,84 +69,53 @@ class CoverageState:
 
     The state holds, for every subset ``q`` and member position ``j``, the
     similarity of member ``j`` to its current nearest neighbour in the
-    selection (0 when the selection contains no member of ``q``).  The total
-    objective value is maintained as selections are added, and marginal
-    gains are evaluated without mutating the state.
-
-    A ``gain(p)`` query memoises its intermediate masks; an ``add(p)`` at
-    the same selection size reuses them instead of recomputing the deltas
-    (the CELF select step always adds the photo it just refreshed), at no
-    extra cost to queries that are never followed by an add.
+    selection (0 when the selection contains no member of ``q``).  Marginal
+    gains are evaluated without mutating the state; :meth:`add` updates it.
 
     Parameters
     ----------
     instance:
         The PAR instance whose objective is tracked.
     selection:
-        Optional initial selection (e.g. the retention set ``S0``).
-    backend:
-        ``"kernel"`` (flat CSR kernels, default) or ``"reference"`` (the
-        original per-subset loop).  ``None`` reads
-        ``PHOCUS_COVERAGE_BACKEND`` and falls back to the kernel.
+        Optional initial selection (e.g. the retention set ``S0``), loaded
+        in bulk; :attr:`order` keeps its iteration order (duplicates
+        dropped).
     """
 
     def __init__(
         self,
         instance: PARInstance,
         selection: Iterable[int] = (),
-        *,
-        backend: Optional[str] = None,
     ) -> None:
-        if backend is None:
-            backend = _default_backend()
-        if backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"unknown coverage backend {backend!r}; expected one of {_BACKENDS}"
-            )
-        self.backend = backend
         _obs = _obs_probes.active()
         if _obs is not None:
-            # Which evaluation backend actually serves the workload —
-            # construction-time only, so gain()/add() stay probe-free.
-            _obs.objective_states.labels(backend=backend).inc()
+            # Construction-time only, so gain()/add() stay probe-free.
+            _obs.objective_states.inc()
         self.instance = instance
-        self._has_sparse = any(q.similarity.is_sparse for q in instance.subsets)
-        self._weighted_rel: List[np.ndarray] = [
-            q.weight * q.relevance for q in instance.subsets
-        ]
-        if backend == KERNEL:
-            inc = instance.incidence
-            self._best_flat: Optional[np.ndarray] = np.zeros(
-                inc.total_slots, dtype=np.float64
-            )
-            # best[qi][j] = max similarity of member j of subset qi to the
-            # selection — views into the flat slot vector, so kernel writes
-            # and the per-subset accessors always agree.
-            off = inc.subset_offsets
-            self._best: List[np.ndarray] = [
-                self._best_flat[off[qi] : off[qi + 1]]
-                for qi in range(len(instance.subsets))
-            ]
-        else:
-            self._best_flat = None
-            self._best = [np.zeros(len(q), dtype=np.float64) for q in instance.subsets]
-        self._value = 0.0
-        self._selected: set = set()
-        # Insertion order of every add(); replaying it on a fresh state
-        # reproduces _best and _value bit-for-bit (float additions are
-        # order-sensitive), which is what solve checkpoints rely on.
-        self._order: List[int] = []
-        # (photo, stamp, total, segments) of the most recent gain() query;
-        # segments hold the already-computed masks an add() can replay.
-        self._gain_cache: Optional[Tuple[int, int, float, list]] = None
-        for p in selection:
-            self.add(int(p))
+        self._inc = instance.incidence
+        self._lens = np.diff(self._inc.entry_indptr)
+        self._best_flat = np.zeros(self._inc.total_slots, dtype=np.float64)
+        # W(q)·R(q, j) per slot, in the same flat layout as _best_flat.
+        self._wslot = (
+            np.concatenate([q.weight * q.relevance for q in instance.subsets])
+            if instance.subsets
+            else np.zeros(0, dtype=np.float64)
+        )
+        self._value: Optional[float] = None
+        self._load(selection)
+
+    def _load(self, selection: Iterable[int]) -> None:
+        self._order: List = list(dict.fromkeys(int(p) for p in selection))
+        self._selected = set(self._order)
+        self._cover_many(np.asarray(self._order, dtype=np.int64))
 
     # ------------------------------------------------------------------
 
     @property
     def value(self) -> float:
-        """Current objective value ``G(S)``."""
+        """Current objective value ``G(S)`` (a function of the set alone)."""
+        if self._value is None:
+            self._value = float(np.add.reduce(self._wslot * self._best_flat))
         return self._value
 
     @property
@@ -166,7 +131,7 @@ class CoverageState:
 
     @property
     def order(self) -> List[int]:
-        """The photos in the exact order they were added (copy)."""
+        """The photos in the order they were added (copy)."""
         return list(self._order)
 
     def __contains__(self, photo_id: int) -> bool:
@@ -177,196 +142,172 @@ class CoverageState:
         p = int(photo_id)
         if p in self._selected:
             return 0.0
-        if self.backend == KERNEL:
-            total, segments = self._evaluate_kernel(p)
-        else:
-            total, segments = self._evaluate_reference(p)
-        self._gain_cache = (p, len(self._order), total, segments)
-        return total
+        return self._gain(p, 1.0)
+
+    def gains_of(self, photos) -> np.ndarray:
+        """Marginal gains of ``photos`` at the current selection, in one batch.
+
+        Bitwise equal to ``[self.gain(p) for p in photos]``; selected
+        photos report 0.
+        """
+        return self._gains(np.asarray(photos, dtype=np.int64), None)
+
+    def all_gains(self) -> np.ndarray:
+        """Marginal gains of every photo at once (selected photos report 0).
+
+        Runs the kernel over contiguous chunks of the entry arrays — no
+        gather — and is bitwise equal to :meth:`gains_of` over
+        ``range(n)``.
+        """
+        inc = self._inc
+        n = self.instance.n
+        gains = np.zeros(n, dtype=np.float64)
+        indptr = inc.entry_indptr
+        lo = 0
+        while lo < n:
+            hi = int(np.searchsorted(indptr, indptr[lo] + _CHUNK_ENTRIES, "right")) - 1
+            hi = min(max(hi, lo + 1), n)
+            s, e = int(indptr[lo]), int(indptr[hi])
+            if e > s:
+                self._reduce(
+                    inc.sims[s:e], inc.slots[s:e], inc.wrel[s:e],
+                    indptr[lo:hi] - s, self._lens[lo:hi], gains[lo:hi],
+                )
+            lo = hi
+        return gains
 
     def add(self, photo_id: int) -> float:
         """Add a photo to the selection; return the realised marginal gain."""
         p = int(photo_id)
         if p in self._selected:
             return 0.0
-        cache = self._gain_cache
-        if cache is not None and cache[0] == p and cache[1] == len(self._order):
-            # The preceding gain(p) already computed the deltas and masks
-            # at this exact selection — replay them instead of recomputing.
-            realized, segments = cache[2], cache[3]
-        elif self.backend == KERNEL:
-            realized, segments = self._evaluate_kernel(p)
-        else:
-            realized, segments = self._evaluate_reference(p)
-        if self.backend == KERNEL:
-            best = self._best_flat
-            for slots, sims, positive in segments:
-                best[slots[positive]] = sims[positive]
-        else:
-            for qi, idx, sims, positive in segments:
-                self._best[qi][idx[positive]] = sims[positive]
-        self._gain_cache = None
         self._selected.add(p)
         self._order.append(p)
-        self._value += realized
-        return realized
+        return self._insert(p, 1.0)
 
-    # ----------------------------------------------------------- kernels
+    # ----------------------------------------------------------- kernel
 
-    def _evaluate_kernel(self, p: int) -> Tuple[float, list]:
-        """Marginal gain of ``p`` on the flat CSR plus replayable segments.
-
-        One gather/subtract/compare pass over the photo's whole entry
-        range, then one masked dot per membership.  Accumulation matches
-        the reference backend bit for bit: delta values are elementwise
-        identical however the range is sliced, each dot runs on the same
-        extracted operands in the same (ascending-subset) order, and
-        all-zero segments contribute exactly nothing either way.
-        """
-        inc = self.instance.incidence
-        s0 = inc.entry_indptr[p]
-        e0 = inc.entry_indptr[p + 1]
-        if s0 == e0:
-            return 0.0, []
+    def _delta(self, p: int, phi: float):
+        """``p``'s slots, ``φ``-scaled sims, their cover, weighted gains."""
+        inc = self._inc
+        s0, e0 = inc.entry_indptr[p], inc.entry_indptr[p + 1]
         slots = inc.slots[s0:e0]
-        sims = inc.sims[s0:e0]
-        delta = sims - self._best_flat[slots]
-        positive = delta > 0
-        if not positive.any():
-            return 0.0, []
-        wrel = inc.wrel[s0:e0]
-        ms = inc.photo_member_indptr[p]
-        me = inc.photo_member_indptr[p + 1]
-        if me - ms == 1:
-            return float(wrel[positive] @ delta[positive]), [(slots, sims, positive)]
-        eptr = inc.member_entry_indptr
-        total = 0.0
-        for k in range(ms, me):
-            s = eptr[k] - s0
-            e = eptr[k + 1] - s0
-            pseg = positive[s:e]
-            dsel = delta[s:e][pseg]
-            if dsel.size:
-                total += float(wrel[s:e][pseg] @ dsel)
-        # The add-replay segment covers the whole entry range at once:
-        # memberships live in disjoint subsets, so their slots never
-        # collide and one masked assignment equals the per-segment writes.
-        return total, [(slots, sims, positive)]
-
-    def _evaluate_reference(self, p: int) -> Tuple[float, list]:
-        """The original per-subset ``neighbors()`` evaluation (oracle)."""
-        total = 0.0
-        segments: list = []
-        for qi, local in self.instance.membership[p]:
-            subset = self.instance.subsets[qi]
-            best = self._best[qi]
-            wrel = self._weighted_rel[qi]
-            idx, sims = subset.similarity.neighbors(local)
-            delta = sims - best[idx]
-            positive = delta > 0
-            if np.any(positive):
-                total += float(wrel[idx[positive]] @ delta[positive])
-                segments.append((qi, idx, sims, positive))
-        return total, segments
-
-    def all_gains(self) -> np.ndarray:
-        """Marginal gains of every photo at once (vectorised).
-
-        Equivalent to ``[self.gain(p) for p in range(n)]`` but computed in
-        bulk, which is substantially faster when many candidates must be
-        ranked (online bounds, branch-and-bound root ordering, batch
-        heuristics).  The kernel backend runs one masked
-        multiply + ``np.add.reduceat`` pass over the flat entry array —
-        dense and sparse instances take the identical code path; the
-        reference backend keeps the original per-subset evaluation.
-        Selected photos report 0.
-        """
-        if self.backend == KERNEL:
-            gains = self._all_gains_kernel()
-        else:
-            gains = self._all_gains_reference()
-        if self._selected:
-            gains[list(self._selected)] = 0.0
-        return gains
-
-    def _all_gains_kernel(self) -> np.ndarray:
-        inc = self.instance.incidence
-        gains = np.zeros(self.instance.n, dtype=np.float64)
-        if inc.slots.size == 0:
-            return gains
-        if not self._has_sparse:
-            # All-dense instances: the per-subset BLAS matmul beats the
-            # flat gather+reduceat pass (contiguous SIMD vs indexed loads),
-            # so delegate to it.  Sparse/mixed instances take the flat
-            # path, which has no per-row Python loop.
-            return self._all_gains_reference()
-        delta = inc.sims - self._best_flat[inc.slots]
+        sims = inc.sims[s0:e0] if phi == 1.0 else inc.sims[s0:e0] * np.float64(phi)
+        cur = self._best_flat[slots]
+        delta = sims - cur
         np.maximum(delta, 0.0, out=delta)
-        delta *= inc.wrel
-        starts = inc.entry_indptr[:-1]
-        nonempty = starts < inc.entry_indptr[1:]
-        # reduceat over the nonempty per-photo ranges: consecutive nonempty
-        # starts abut (empty ranges have zero width), so each segment ends
-        # exactly at the next start.
-        gains[nonempty] = np.add.reduceat(delta, starts[nonempty])
+        delta *= inc.wrel[s0:e0]
+        return slots, sims, cur, delta
+
+    def _gain(self, p: int, phi: float) -> float:
+        delta = self._delta(p, phi)[3]
+        return float(np.add.reduceat(delta, _ONE_SEGMENT)[0]) if delta.size else 0.0
+
+    def _insert(self, p: int, phi: float) -> float:
+        """Cover ``p``'s slots at ``φ ·`` similarity; return the gain."""
+        slots, sims, cur, delta = self._delta(p, phi)
+        self._value = None
+        # A photo's slots are distinct (its memberships lie in disjoint
+        # subsets), so one fancy assignment writes every maximum.
+        self._best_flat[slots] = np.maximum(cur, sims)
+        return float(np.add.reduceat(delta, _ONE_SEGMENT)[0]) if delta.size else 0.0
+
+    def _chunks(
+        self, photos: np.ndarray
+    ) -> Iterator[Tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+        """Split a photo batch into gathers of at most ~_CHUNK_ENTRIES.
+
+        Yields ``(photo_slice, entry_idx, seg_starts, seg_lens)``; a photo
+        never straddles two chunks.
+        """
+        starts = self._inc.entry_indptr[photos]
+        lens = self._lens[photos]
+        ends = np.cumsum(lens)
+        lo = 0
+        while lo < photos.size:
+            base = ends[lo] - lens[lo]
+            if ends[-1] - base <= _CHUNK_ENTRIES:
+                hi = photos.size
+            else:
+                hi = max(
+                    int(np.searchsorted(ends, base + _CHUNK_ENTRIES, "right")), lo + 1
+                )
+            clens = lens[lo:hi]
+            offs = ends[lo:hi] - clens - base
+            idx = np.repeat(starts[lo:hi] - offs, clens)
+            idx += np.arange(idx.size, dtype=np.int64)
+            yield slice(lo, hi), idx, offs, clens
+            lo = hi
+
+    def _gains(self, photos: np.ndarray, phis: Optional[np.ndarray]) -> np.ndarray:
+        if photos.size <= _SMALL_BATCH:
+            # Below the gather's fixed cost: per-photo calls, same bits.
+            fids = [1.0] * photos.size if phis is None else phis.tolist()
+            return np.array(
+                [self._gain(p, f) for p, f in zip(photos.tolist(), fids)],
+                dtype=np.float64,
+            )
+        inc = self._inc
+        gains = np.zeros(photos.size, dtype=np.float64)
+        for sl, idx, offs, lens in self._chunks(photos):
+            if idx.size == 0:
+                continue
+            sims = inc.sims[idx]
+            if phis is not None:
+                sims = sims * np.repeat(phis[sl], lens)
+            self._reduce(sims, inc.slots[idx], inc.wrel[idx], offs, lens, gains[sl])
         return gains
 
-    def _all_gains_reference(self) -> np.ndarray:
-        gains = np.zeros(self.instance.n, dtype=np.float64)
-        for qi, subset in enumerate(self.instance.subsets):
-            best = self._best[qi]
-            wrel = self._weighted_rel[qi]
-            sim = subset.similarity
-            if not sim.is_sparse:
-                delta = sim.matrix - best[None, :]
-                np.maximum(delta, 0.0, out=delta)
-                local_gains = delta @ wrel
-            else:
-                local_gains = np.empty(len(subset))
-                for local in range(len(subset)):
-                    idx, sims = sim.neighbors(local)
-                    diff = sims - best[idx]
-                    positive = diff > 0
-                    local_gains[local] = (
-                        float(wrel[idx[positive]] @ diff[positive])
-                        if np.any(positive)
-                        else 0.0
-                    )
-            np.add.at(gains, subset.members, local_gains)
-        return gains
+    def _reduce(self, sims, slots, wrel, offs, lens, out) -> None:
+        """``out[i] = Σ max(sims − best[slots], 0)·wrel`` per segment ``i``."""
+        delta = sims - self._best_flat[slots]
+        np.maximum(delta, 0.0, out=delta)
+        delta *= wrel
+        if lens.all():
+            out[:] = np.add.reduceat(delta, offs)
+            return
+        # Empty segments have zero width, so each nonempty segment ends
+        # exactly where the next nonempty one starts.
+        nonempty = lens > 0
+        out[nonempty] = np.add.reduceat(delta, offs[nonempty])
+
+    def _cover_many(self, photos: np.ndarray, phis: Optional[np.ndarray] = None):
+        """Bulk :meth:`_insert`: one ``np.maximum.at`` per gather chunk."""
+        inc = self._inc
+        self._value = None
+        for sl, idx, _, lens in self._chunks(photos):
+            sims = inc.sims[idx]
+            if phis is not None:
+                sims = sims * np.repeat(phis[sl], lens)
+            np.maximum.at(self._best_flat, inc.slots[idx], sims)
 
     # ------------------------------------------------------------------
 
     def copy(self) -> "CoverageState":
         """Deep copy (shares the immutable instance, copies mutable state)."""
-        clone = CoverageState.__new__(CoverageState)
-        clone.backend = self.backend
+        clone = self.__class__.__new__(self.__class__)
         clone.instance = self.instance
-        clone._has_sparse = self._has_sparse
-        clone._weighted_rel = self._weighted_rel
-        if self.backend == KERNEL:
-            clone._best_flat = self._best_flat.copy()
-            off = self.instance.incidence.subset_offsets
-            clone._best = [
-                clone._best_flat[off[qi] : off[qi + 1]]
-                for qi in range(len(self.instance.subsets))
-            ]
-        else:
-            clone._best_flat = None
-            clone._best = [b.copy() for b in self._best]
+        clone._inc = self._inc
+        clone._lens = self._lens
+        clone._wslot = self._wslot
+        clone._best_flat = self._best_flat.copy()
         clone._value = self._value
-        clone._selected = set(self._selected)
+        clone._selected = self._selected.copy()
         clone._order = list(self._order)
-        clone._gain_cache = None
         return clone
+
+    def _subset_slice(self, qi: int) -> slice:
+        off = self._inc.subset_offsets
+        return slice(int(off[qi]), int(off[qi + 1]))
 
     def subset_value(self, qi: int) -> float:
         """Weighted score contribution ``W(q) · G(q, S)`` of subset ``qi``."""
-        return float(self._weighted_rel[qi] @ self._best[qi])
+        sl = self._subset_slice(qi)
+        return float(self._wslot[sl] @ self._best_flat[sl])
 
     def coverage_of(self, qi: int) -> np.ndarray:
         """Per-member nearest-neighbour similarities for subset ``qi`` (copy)."""
-        return self._best[qi].copy()
+        return self._best_flat[self._subset_slice(qi)].copy()
 
 
 def score(instance: PARInstance, selection: Iterable[int]) -> float:

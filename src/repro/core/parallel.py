@@ -319,7 +319,7 @@ def build_view_instance(
         subset.members = _view(shm, s["members"])
         subset.relevance = _view(shm, s["relevance"])
         subset.similarity = backend
-        subset._local = {int(p): i for i, p in enumerate(subset.members)}
+        subset._local = None
         subsets.append(subset)
 
     inst = PARInstance.__new__(PARInstance)
@@ -331,10 +331,7 @@ def build_view_instance(
     inst.retained = frozenset(int(p) for p in spec["retained"])
     inst.embeddings = None
     inst.variants = None  # variant catalogs do not ride the shm pack
-    inst.membership = [[] for _ in range(n)]
-    for qi, q in enumerate(subsets):
-        for local, photo_id in enumerate(q.members):
-            inst.membership[int(photo_id)].append((qi, local))
+    inst._membership = None
     inc = spec["incidence"]
     inst.incidence = IncidenceCSR(
         _view(shm, inc["subset_offsets"]),

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, List, Tuple
 
+import numpy as np
+
 from repro.core.instance import PARInstance
 from repro.core.objective import CoverageState
 
@@ -49,22 +51,22 @@ def _greedy_complete(
     spent = instance.cost_of(state.selected)
     costs = instance.costs
     evaluations = 0
-    remaining = [p for p in range(instance.n) if p not in state.selected]
+    remaining = np.array(
+        [p for p in range(instance.n) if p not in state], dtype=np.int64
+    )
+    budget_cap = instance.budget * (1 + 1e-12)
     while True:
-        best_p, best_key = -1, 0.0
-        for p in remaining:
-            if spent + costs[p] > instance.budget * (1 + 1e-12):
-                continue
-            gain = state.gain(p)
-            evaluations += 1
-            key = gain / costs[p]
-            if key > best_key:
-                best_key, best_p = key, p
-        if best_p < 0:
+        remaining = remaining[spent + costs[remaining] <= budget_cap]
+        if not remaining.size:
             break
-        state.add(best_p)
-        spent += float(costs[best_p])
-        remaining.remove(best_p)
+        keys = state.gains_of(remaining) / costs[remaining]
+        evaluations += int(remaining.size)
+        best = int(np.argmax(keys))  # the first maximum, as a strict-> scan
+        if not keys[best] > 0:
+            break
+        state.add(int(remaining[best]))
+        spent += float(costs[remaining[best]])
+        remaining = np.delete(remaining, best)
     return state, spent, evaluations
 
 

@@ -40,29 +40,29 @@ machinery of :func:`repro.core.greedy.lazy_greedy` extends directly:
 
 Degradation contract: on a :meth:`VariantCatalog.trivial` catalog the
 heap sequence, evaluation count, picks, value, and cost reproduce
-``lazy_greedy`` bit for bit — the coverage kernel below accumulates
-floats in the identical order (``1.0 · sims`` is exact in IEEE-754),
-and :func:`fidelity_main` mirrors ``main_algorithm``'s best-of-UC/CB,
-preserving the ``(1 − 1/e)/2``-style guarantee over the exclusive
-ground set.
+``lazy_greedy`` bit for bit — :class:`FidelityCoverageState` runs the
+discard-only coverage kernel (``1.0 · sims`` is exact in IEEE-754), the
+pass drains the same :class:`~repro.core.greedy.CelfQueue` with batched
+refreshes, and :func:`fidelity_main` mirrors ``main_algorithm``'s
+best-of-UC/CB, preserving the ``(1 − 1/e)/2``-style guarantee over the
+exclusive ground set.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from time import perf_counter as _perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.greedy import CB, UC, _MODES, GreedyMode
+from repro.core.greedy import CB, UC, _MODES, CelfQueue, GreedyMode
 from repro.core.instance import PARInstance
+from repro.core.objective import CoverageState
 from repro.errors import ConfigurationError, ValidationError
 from repro.faults import check as _fault_check
 from repro.fidelity.catalog import VariantCatalog
 from repro.obs import probes as _obs_probes
-from repro.resilience import deadline as _deadline
 
 __all__ = [
     "FidelityCoverageState",
@@ -73,52 +73,32 @@ __all__ = [
 ]
 
 
-class FidelityCoverageState:
-    """Incremental coverage under fidelity-scaled insertions.
+class FidelityCoverageState(CoverageState):
+    """Coverage under fidelity-scaled insertions.
 
-    The φ-generalisation of :class:`repro.core.objective.CoverageState`'s
-    kernel backend: ``add(p, φ)`` covers photo ``p``'s incidence slots at
-    ``φ ·`` their stored similarity.  Accumulation order, masked dots,
-    the gain-replay cache, and the write-back are copied verbatim from
-    the discard-only kernel so that ``φ = 1`` insertions are bit-exact
-    with ``CoverageState.add`` (``1.0 · s == s`` for every float).
+    :class:`repro.core.objective.CoverageState` with a fidelity per
+    insertion: ``add(p, φ)`` covers photo ``p``'s incidence slots at
+    ``φ ·`` their stored similarity, through the very same kernel.
+    Raising a chosen photo's ``φ`` is monotone (every covered slot moves
+    to ``max(best, φ_new·sim)``), so an upgrade is one more insertion.
+    At ``φ = 1`` everything is bitwise the discard-only state
+    (``1.0 · s == s`` for every float).
     """
 
-    __slots__ = (
-        "instance",
-        "_best_flat",
-        "_value",
-        "_selected",
-        "_order",
-        "_gain_cache",
-    )
-
-    def __init__(
-        self,
-        instance: PARInstance,
-        selection: Iterable[Tuple[int, float]] = (),
-    ) -> None:
-        self.instance = instance
-        self._best_flat = np.zeros(
-            instance.incidence.total_slots, dtype=np.float64
-        )
-        self._value = 0.0
+    def _load(self, selection: Iterable[Tuple[int, float]]) -> None:
         self._selected: Dict[int, float] = {}
         self._order: List[Tuple[int, float]] = []
-        # (photo, phi, stamp, total, segments) of the latest gain() —
-        # replayed by an add() at the same selection size (the CELF
-        # accept step always adds the entry it just refreshed).
-        self._gain_cache = None
         for p, phi in selection:
-            self.add(int(p), float(phi))
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    @property
-    def size(self) -> int:
-        return len(self._selected)
+            p, phi = int(p), float(phi)
+            if self._selected.get(p, 0.0) < phi:
+                self._selected[p] = phi
+                self._order.append((p, phi))
+        self._cover_many(
+            np.fromiter(self._selected, dtype=np.int64, count=len(self._selected)),
+            np.fromiter(
+                self._selected.values(), dtype=np.float64, count=len(self._selected)
+            ),
+        )
 
     @property
     def selected(self) -> Dict[int, float]:
@@ -129,87 +109,32 @@ class FidelityCoverageState:
     def order(self) -> List[Tuple[int, float]]:
         return list(self._order)
 
-    def __contains__(self, photo_id: int) -> bool:
-        return int(photo_id) in self._selected
-
-    def gain(self, photo_id: int, phi: float) -> float:
+    def gain(self, photo_id: int, phi: float = 1.0) -> float:
         """Marginal gain of inserting ``p`` at fidelity ``phi``.
 
         For a photo already selected at a *lower* fidelity this is the
-        exact upgrade gain: raising ``φ_p`` is monotone, so the new
-        coverage of every slot is simply ``max(best, φ_new·sim)`` — the
-        same one-row evaluation as a fresh insertion, no removal or
-        replay of the rest of the selection required.
+        exact upgrade gain — the same one-row evaluation as a fresh
+        insertion, no removal or replay of the selection required.
         """
         p = int(photo_id)
         if self._selected.get(p, 0.0) >= phi:
             return 0.0
-        total, segments = self._evaluate(p, phi)
-        self._gain_cache = (p, phi, len(self._order), total, segments)
-        return total
+        return self._gain(p, phi)
 
-    def add(self, photo_id: int, phi: float) -> float:
+    def gains_of(self, photos, phis) -> np.ndarray:
+        """Batched :meth:`gain` at per-photo fidelities ``phis``."""
+        return self._gains(
+            np.asarray(photos, dtype=np.int64), np.asarray(phis, dtype=np.float64)
+        )
+
+    def add(self, photo_id: int, phi: float = 1.0) -> float:
         """Insert ``p`` at ``phi`` — or upgrade it, if already selected lower."""
-        p = int(photo_id)
+        p, phi = int(photo_id), float(phi)
         if self._selected.get(p, 0.0) >= phi:
             return 0.0
-        cache = self._gain_cache
-        if (
-            cache is not None
-            and cache[0] == p
-            and cache[1] == phi
-            and cache[2] == len(self._order)
-        ):
-            realized, segments = cache[3], cache[4]
-        else:
-            realized, segments = self._evaluate(p, phi)
-        best = self._best_flat
-        for slots, scaled, positive in segments:
-            best[slots[positive]] = scaled[positive]
-        self._gain_cache = None
         self._selected[p] = phi
         self._order.append((p, phi))
-        self._value += realized
-        return realized
-
-    def _evaluate(self, p: int, phi: float) -> Tuple[float, list]:
-        """Kernel evaluation at fidelity ``phi`` (cf. ``_evaluate_kernel``).
-
-        Identical slicing, masking, and per-membership dot order as the
-        discard-only kernel; the only change is the pre-scaled
-        similarity vector (left as the stored ``sims`` when ``phi == 1``
-        so the trivial catalog accumulates the very same floats).
-        """
-        inc = self.instance.incidence
-        s0 = inc.entry_indptr[p]
-        e0 = inc.entry_indptr[p + 1]
-        if s0 == e0:
-            return 0.0, []
-        slots = inc.slots[s0:e0]
-        scaled = inc.sims[s0:e0]
-        if phi != 1.0:
-            scaled = phi * scaled
-        delta = scaled - self._best_flat[slots]
-        positive = delta > 0
-        if not positive.any():
-            return 0.0, []
-        wrel = inc.wrel[s0:e0]
-        ms = inc.photo_member_indptr[p]
-        me = inc.photo_member_indptr[p + 1]
-        if me - ms == 1:
-            return float(wrel[positive] @ delta[positive]), [
-                (slots, scaled, positive)
-            ]
-        eptr = inc.member_entry_indptr
-        total = 0.0
-        for k in range(ms, me):
-            s = eptr[k] - s0
-            e = eptr[k + 1] - s0
-            pseg = positive[s:e]
-            dsel = delta[s:e][pseg]
-            if dsel.size:
-                total += float(wrel[s:e][pseg] @ dsel)
-        return total, [(slots, scaled, positive)]
+        return self._insert(p, phi)
 
 
 @dataclass
@@ -276,7 +201,7 @@ def exclusive_lazy_greedy(
     ids = list(frozenset(chosen.values()))
     spent = float(vcost[ids].sum()) if ids else 0.0
     run = FidelityRun(
-        selection=list(state._selected),
+        selection=list(chosen),
         chosen=chosen,
         value=state.value,
         cost=spent,
@@ -285,81 +210,79 @@ def exclusive_lazy_greedy(
     )
 
     # --- seed: one exact evaluation per photo, optimistic siblings -----
-    counter = 0
-    heap: List[Tuple[float, int, int, int]] = []
-    stamp = state.size
-    for p in range(instance.n):
-        if p in chosen:
-            continue
-        s, e = int(indptr[p]), int(indptr[p + 1])
-        # Costs strictly decrease within a photo, so the last slot is the
-        # cheapest variant; when even it cannot fit, the photo needs no
-        # evaluation (matching lazy_greedy's unaffordable-seed skip).
-        if spent + vcost[e - 1] > budget_cap:
-            continue
-        g1 = state.gain(p, 1.0)
-        run.evaluations += 1
-        for vid in range(s, e):
-            if spent + vcost[vid] > budget_cap:
-                continue
-            if vid == s:
-                gain, vstamp = g1, stamp
-            else:
-                # Upper bound φ·gain₁(p): never accepted un-refreshed.
-                gain, vstamp = vfid[vid] * g1, -1
-            key = gain / vcost[vid] if mode == CB else gain
-            heapq.heappush(heap, (-key, counter, vid, vstamp))
-            counter += 1
+    # Costs strictly decrease within a photo, so the last slot is the
+    # cheapest variant; when even it cannot fit, the photo needs no
+    # evaluation (matching lazy_greedy's unaffordable-seed skip).
+    free = np.ones(instance.n, dtype=bool)
+    free[np.fromiter(chosen, dtype=np.int64, count=len(chosen))] = False
+    cand = np.flatnonzero(free & (spent + vcost[indptr[1:] - 1] <= budget_cap))
+    g1 = np.zeros(instance.n, dtype=np.float64)
+    g1[cand] = state.gains_of(cand, np.ones(cand.size))
+    run.evaluations = int(cand.size)
+    is_cand = np.zeros(instance.n, dtype=bool)
+    is_cand[cand] = True
+    # Variant ids are photo-major, so the counters follow the same
+    # photo-then-variant order as a per-photo push loop.
+    vids = np.flatnonzero(is_cand[photo_of] & (spent + vcost <= budget_cap))
+    owner = photo_of[vids]
+    original = vids == indptr[owner]
+    # Siblings get the upper bound φ·gain₁(p) at stamp −1: never accepted
+    # un-refreshed.
+    gains = np.where(original, g1[owner], vfid[vids] * g1[owner])
+    queue = CelfQueue()
+    queue.extend(
+        vids,
+        gains / vcost[vids] if mode == CB else gains,
+        np.where(original, state.size, -1),
+    )
 
     _obs = _obs_probes.active()
     _t0 = _perf_counter() if _obs is not None else 0.0
 
-    # --- CELF drain (the lazy_greedy hot loop over variant ids) -------
-    size = state.size
-    _dl = _deadline.current()
-    _dl_tick = 0
-    while heap:
-        _fault_check("solver.iteration")
-        if _dl is not None:
-            if (_dl_tick & 15) == 0 or _dl._interrupt is not None:
-                if _dl.expired():
-                    raise _dl.to_exception(None)
-            _dl_tick += 1
-        neg_key, _, vid, gain_stamp = heapq.heappop(heap)
-        p = int(photo_of[vid])
+    # --- CELF drain over variant ids ------------------------------------
+    # Per-variant lookups in the drain read Python lists, not numpy
+    # scalars (the same floats).
+    owner_of = photo_of.tolist()
+    cost_of = vcost.tolist()
+    fid_of = vfid.tolist()
+
+    def price(vid: int) -> Optional[float]:
+        cur = chosen.get(owner_of[vid])
+        if cur is None:
+            return cost_of[vid]
+        # Exclusivity: a sibling of a chosen photo is either an upgrade
+        # move (strictly higher fidelity, priced at its incremental cost)
+        # or dominated and skipped.  ``spent − cost(chosen_p)`` only grows
+        # during the drain, so an unaffordable upgrade never fits later.
+        if not upgrade or vid >= cur:
+            return None
+        _fault_check("fidelity.swap")
+        return cost_of[vid] - cost_of[cur]
+
+    def refresh(batch: List[int]) -> List[float]:
+        run.evaluations += len(batch)
+        if len(batch) == 1:
+            vid = batch[0]
+            return [state.gain(owner_of[vid], fid_of[vid])]
+        vids = np.asarray(batch)
+        return state.gains_of(photo_of[vids], vfid[vids]).tolist()
+
+    def accept(vid: int, extra: float, spent_now: float) -> None:
+        p = owner_of[vid]
         cur = chosen.get(p)
-        if cur is not None:
-            # Exclusivity: a sibling of a chosen photo is either an
-            # upgrade move (strictly higher fidelity, priced at its
-            # incremental cost) or dominated and skipped.
-            if not upgrade or vid >= cur:
-                continue
-            _fault_check("fidelity.swap")
-            extra = float(vcost[vid] - vcost[cur])
+        realized = state.add(p, fid_of[vid])
+        if cur is None:
+            run.selection.append(p)
+            run.picks.append((p, realized))
         else:
-            extra = float(vcost[vid])
-        if spent + extra > budget_cap:
-            # ``spent − cost(chosen_p)`` only grows during the drain, so
-            # this move can never become affordable again — drop it.
-            continue
-        if gain_stamp == size:
-            realized = state.add(p, float(vfid[vid]))
-            size += 1
-            if cur is None:
-                run.selection.append(p)
-                run.picks.append((p, realized))
-            else:
-                run.upgrades.append((p, cur, vid, realized))
-            chosen[p] = vid
-            spent += extra
-            run.value = state.value
-            run.cost = spent
-        else:
-            gain = state.gain(p, float(vfid[vid]))
-            run.evaluations += 1
-            key = gain / extra if mode == CB else gain
-            heapq.heappush(heap, (-key, counter, vid, size))
-            counter += 1
+            run.upgrades.append((p, cur, vid, realized))
+        chosen[p] = vid
+
+    run.cost = queue.drain(
+        state.size, spent, budget_cap, mode,
+        price=price, refresh=refresh, accept=accept,
+    )
+    run.value = state.value
 
     if _obs is not None:
         _obs.fidelity_solves.labels(mode=mode).inc()

@@ -10,9 +10,9 @@ bucket *new* photos against it:
   the only per-photo LSH residue kept between uploads).
 
 :meth:`ingest` re-buckets only the ``k`` arriving photos: their band keys
-are matched against the stored keys (old↔new candidates, a sorted search
-per band) and against each other (new↔new, the builder's own
-within-bucket emitter), verified with the shared exact-cosine kernel, and
+are matched against the stored keys and against each other (old↔new and
+new↔new candidates, sorted searches per band), verified with the shared
+exact-cosine kernel, and
 appended to the CSR via :meth:`SparseSimilarity.append_rows` — the dense
 SIM is never rebuilt and the old CSR region is never re-sorted.  The
 grown instance is **bit-identical** to a from-scratch
@@ -47,7 +47,6 @@ from repro.errors import ConfigurationError, ValidationError
 from repro.scale.builder import (
     DEFAULT_SIGNATURE_CHUNK,
     ScaleBuildReport,
-    _emit_band_pairs,
     _sorted_dedup,
     _streamed_band_keys,
     build_streamed_instance,
@@ -64,6 +63,34 @@ from repro.sparsify.simhash import (
 __all__ = ["IngestReport", "LiveArchive", "LIVE_FORMAT"]
 
 LIVE_FORMAT = 1
+
+#: Photos added since the last full key sort that an upload searches as
+#: a freshly sorted *recent* run before the sort is redone.
+_RECENT_LIMIT = 1024
+
+
+def _bucket_hits(sorted_keys, key_order, new_keys, first_new: int, total: int):
+    """Pair keys ``old * total + new`` of every bucket match of a sorted run.
+
+    ``sorted_keys`` / ``key_order`` are per-band sorted bucket keys and
+    the photo ids realising them; photo ``first_new + t`` carries
+    ``new_keys[:, t]`` and pairs with every photo of the run that shares
+    its bucket in some band.
+    """
+    bands, k = new_keys.shape
+    left = np.empty((bands, k), dtype=np.int64)
+    right = np.empty((bands, k), dtype=np.int64)
+    for b in range(bands):
+        left[b] = np.searchsorted(sorted_keys[b], new_keys[b], side="left")
+        right[b] = np.searchsorted(sorted_keys[b], new_keys[b], side="right")
+    counts = (right - left).ravel()
+    # The hit ranges of all bands, expanded at once.
+    first = left + sorted_keys.shape[1] * np.arange(bands, dtype=np.int64)[:, None]
+    pos = np.repeat(first.ravel() - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(pos.size, dtype=np.int64)
+    old = key_order.reshape(-1)[pos]
+    new = first_new + np.repeat(np.tile(np.arange(k, dtype=np.int64), bands), counts)
+    return old * np.int64(total) + new
 
 
 @dataclass
@@ -199,17 +226,17 @@ class LiveArchive:
 
         The old↔new candidate search is a binary search of the stored
         keys, which needs them sorted per band.  Sorting ``O(n log n)``
-        keys on every upload would dominate small deltas, so the sorted
-        view is built once per archive lifetime and then *merged* forward
-        at each ingest (a linear interleave of ``k`` new keys) — the
-        steady-state upload path never re-sorts the stored keys.
+        keys on every upload would dominate small deltas, so the sort is
+        done once per archive lifetime and carried forward: an upload
+        searches it for the photos it covers and a freshly sorted *recent*
+        run for the up to ``_RECENT_LIMIT`` photos added since, and the
+        full sort is redone only when the recent run outgrows that.  This
+        accessor returns the sort over every photo.
         """
-        if self._key_order is None:
+        if self._key_order is None or self._key_order.shape[1] != self.n:
             order = np.argsort(self.band_keys, axis=1, kind="stable")
             self._key_order = order
-            self._sorted_keys = np.take_along_axis(
-                self.band_keys, order, axis=1
-            )
+            self._sorted_keys = np.take_along_axis(self.band_keys, order, axis=1)
         return self._sorted_keys, self._key_order
 
     # ------------------------------------------------------------ creation
@@ -291,8 +318,8 @@ class LiveArchive:
             chunk_pairs=chunk_pairs,
         )
         archive._planes = hasher.planes
-        # Sort the bucket keys now, at build time: uploads then pay only
-        # the linear merge, never an O(n log n) sort.
+        # Sort the bucket keys now, at build time: uploads then search
+        # the carried sort and only sort the photos added since.
         archive._sorted_key_state()
         return archive, report
 
@@ -331,40 +358,25 @@ class LiveArchive:
         total = n + k
 
         new_keys = self._keys_for(new_emb)
-        sorted_keys, key_order = self._sorted_key_state()
-        pending = []
-        for b in range(self.bands):
-            new_b = new_keys[b]
-            # old↔new: every stored photo sharing a bucket with a new one
-            # — a binary search of the cached sorted keys, no re-sort.
-            sorted_old = sorted_keys[b]
-            order = key_order[b]
-            left = np.searchsorted(sorted_old, new_b, side="left")
-            right = np.searchsorted(sorted_old, new_b, side="right")
-            counts = right - left
-            hits = int(counts.sum())
-            if hits:
-                starts = np.repeat(left, counts)
-                within = np.arange(hits, dtype=np.int64) - np.repeat(
-                    np.cumsum(counts) - counts, counts
-                )
-                old_idx = order[starts + within]
-                new_idx = n + np.repeat(np.arange(k, dtype=np.int64), counts)
-                pending.append(old_idx * np.int64(total) + new_idx)
-            # new↔new: the builder's own within-bucket emitter over just
-            # the delta, re-keyed from local to global ids.
-            local = _emit_band_pairs(new_b, k, self.chunk_pairs)
-            if local.size:
-                li = local // np.int64(k) + n
-                lj = local % np.int64(k) + n
-                pending.append(li * np.int64(total) + lj)
-        if pending:
-            keys = _sorted_dedup(np.concatenate(pending))
-            ii = keys // np.int64(total)
-            jj = keys % np.int64(total)
-        else:
-            ii = np.zeros(0, dtype=np.int64)
-            jj = np.zeros(0, dtype=np.int64)
+        if self._key_order is None or n - self._key_order.shape[1] > _RECENT_LIMIT:
+            self._sorted_key_state()
+        sorted_keys, key_order = self._sorted_keys, self._key_order
+        band_keys = np.concatenate([self.band_keys, new_keys], axis=1)
+        # old↔new: every stored photo sharing a bucket with a new one — a
+        # binary search of the carried sort (no re-sort) ...
+        pending = [_bucket_hits(sorted_keys, key_order, new_keys, n, total)]
+        # ... and of the photos past it, the delta included, sorted now:
+        # that run also yields the new↔new pairs (each kept once).
+        m = key_order.shape[1]
+        recent = np.argsort(band_keys[:, m:], axis=1, kind="stable")
+        hits = _bucket_hits(
+            np.take_along_axis(band_keys[:, m:], recent, axis=1), recent + m,
+            new_keys, n, total,
+        )
+        pending.append(hits[hits // total < hits % total])
+        keys = _sorted_dedup(np.concatenate(pending))
+        ii = keys // np.int64(total)
+        jj = keys % np.int64(total)
         n_candidates = int(ii.size)
 
         all_emb = np.concatenate([inst.embeddings, new_emb])
@@ -407,26 +419,13 @@ class LiveArchive:
             subset_id=self.subset_id,
             weight=self.weight,
             raw_relevance=raw,
-            band_keys=np.concatenate([self.band_keys, new_keys], axis=1),
+            band_keys=band_keys,
             signature_chunk=self.signature_chunk,
             chunk_pairs=self.chunk_pairs,
         )
         archive._planes = self._planes
-        # Carry the sorted-key cache forward with a linear merge: the k
-        # new keys (sorted among themselves) interleave into each band's
-        # already-sorted run.  Any interleave that keeps keys sorted is a
-        # valid argsort — equal keys are interchangeable for the bucket
-        # search, which recovers hit *sets*, not orders.
-        new_order = np.argsort(new_keys, axis=1, kind="stable")
-        new_sorted = np.take_along_axis(new_keys, new_order, axis=1)
-        merged_sorted = np.empty((self.bands, total), dtype=np.uint64)
-        merged_order = np.empty((self.bands, total), dtype=np.int64)
-        for b in range(self.bands):
-            pos = np.searchsorted(sorted_keys[b], new_sorted[b], side="right")
-            merged_sorted[b] = np.insert(sorted_keys[b], pos, new_sorted[b])
-            merged_order[b] = np.insert(key_order[b], pos, new_order[b] + n)
-        archive._sorted_keys = merged_sorted
-        archive._key_order = merged_order
+        # The grown archive searches the same carried sort.
+        archive._sorted_keys, archive._key_order = sorted_keys, key_order
         report = IngestReport(
             n_before=n,
             n_added=k,
@@ -496,6 +495,6 @@ class LiveArchive:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed live sidecar: {exc!r}") from exc
         # Load-time key sort, exactly like `create`: the per-upload path
-        # of a freshly loaded archive starts from the merged cache too.
+        # of a freshly loaded archive starts from a full sort too.
         archive._sorted_key_state()
         return archive

@@ -9,7 +9,7 @@ single-global-``None``-check pattern exactly: instrumented code does
 
     obs = probes.active()
     if obs is not None:
-        obs.solver_runs.labels(mode=mode, backend=backend).inc()
+        obs.solver_runs.labels(mode=mode).inc()
 
 so the disarmed cost at every site is a single module-global load plus a
 ``None`` test.  No metric names, label sets, or registry lookups are
@@ -68,7 +68,7 @@ class Instruments:
         self.solver_runs = reg.counter(
             "phocus_solver_runs_total",
             "completed greedy passes",
-            ("mode", "backend"),
+            ("mode",),
         )
         self.solver_picks = reg.counter(
             "phocus_solver_picks_total",
@@ -115,8 +115,7 @@ class Instruments:
         # -------------------------------------------------------- objective
         self.objective_states = reg.counter(
             "phocus_objective_state_inits_total",
-            "CoverageState constructions per evaluation backend",
-            ("backend",),
+            "CoverageState constructions",
         )
 
         # ------------------------------------------------------- checkpoint

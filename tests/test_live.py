@@ -27,6 +27,7 @@ from repro.core.parallel import SharedInstance
 from repro.core.serialize import instance_from_dict, instance_to_dict
 from repro.errors import ValidationError
 from repro.live import LiveArchive, cold_resolve, replay_solution, warm_resolve
+from repro.live import archive as live_archive
 from repro.scale import build_streamed_instance, synthetic_archive
 
 
@@ -168,12 +169,12 @@ def test_ingest_bit_identical_to_fresh_fused_build():
 
 
 def test_consecutive_ingests_bit_identical_to_fresh_fused_build():
-    """Two deltas in a row exercise the merged sorted-key cache.
+    """Two deltas in a row exercise the carried sorted-key cache.
 
     The first ingest on an archive searches the build-time key sort; the
-    grown archive carries a *merged* cache forward, so the second ingest
-    proves the linear interleave finds exactly the buckets a fresh
-    argsort would.
+    grown archive carries that sort forward, so the second ingest proves
+    that the carried sort plus the freshly sorted run of photos added
+    since find exactly the buckets a fresh argsort would.
     """
     costs, embeddings = synthetic_archive(420, dim=8, seed=12)
     budget = float(costs.sum()) * 0.2
@@ -200,6 +201,30 @@ def test_consecutive_ingests_bit_identical_to_fresh_fused_build():
         twice.instance.subsets[0].relevance, fresh.subsets[0].relevance
     )
     assert np.array_equal(twice.instance.costs, fresh.costs)
+
+
+def test_ingests_past_the_recent_limit_bit_identical(monkeypatch):
+    # Once more photos arrived since the carried key sort than the recent
+    # run may hold, the next ingest redoes the full sort first.
+    monkeypatch.setattr(live_archive, "_RECENT_LIMIT", 10)
+    costs, embeddings = synthetic_archive(400, dim=8, seed=13)
+    budget = float(costs.sum()) * 0.2
+    archive, _ = LiveArchive.create(
+        costs[:360], embeddings[:360], budget, tau=0.6, seed=13, n_bits=16
+    )
+    sorted_up_to = []
+    for start in range(360, 400, 8):
+        archive, _ = archive.ingest(
+            costs[start : start + 8], embeddings[start : start + 8]
+        )
+        sorted_up_to.append(archive._key_order.shape[1])
+    assert sorted_up_to == [360, 360, 376, 376, 392]
+    fresh, _ = build_streamed_instance(
+        costs, embeddings, budget, tau=0.6, n_bits=16, rng=13
+    )
+    assert _sim_equal(
+        archive.instance.subsets[0].similarity, fresh.subsets[0].similarity
+    )
 
 
 def test_ingest_bit_identical_after_doc_round_trip():

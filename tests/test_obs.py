@@ -284,7 +284,7 @@ class TestProm:
 
     def test_full_instruments_catalog_renders_validly(self):
         instruments = probes.Instruments()
-        instruments.solver_runs.labels(mode="UC", backend="kernel").inc()
+        instruments.solver_runs.labels(mode="UC").inc()
         instruments.jobs_wait_seconds.observe(0.2)
         instruments.http_requests.labels(
             method="GET", route="/metrics", status="200"

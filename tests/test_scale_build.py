@@ -100,12 +100,10 @@ class TestFusedEqualsUnfused:
         assert np.array_equal(fc, rc)
         assert np.array_equal(fv, rv)  # bit-exact, not allclose
 
-    @pytest.mark.parametrize("backend", ["kernel", "reference"])
-    def test_solve_picks_bit_identical(self, archive, fused, backend, monkeypatch):
+    def test_solve_picks_bit_identical(self, archive, fused):
         costs, emb = archive
         inst, _ = fused
         ref_inst, _ = _unfused_instance(costs, emb, inst.budget)
-        monkeypatch.setenv("PHOCUS_COVERAGE_BACKEND", backend)
         a = main_algorithm(inst)
         b = main_algorithm(ref_inst)
         assert a.picks == b.picks
